@@ -153,9 +153,10 @@ class AnalysisEngine:
         #: Worker-lane index this engine runs in (None in the parent).
         self.lane_index: Optional[int] = None
         self._request_seq = itertools.count(1)
-        #: Merged cross-circuit tensor batches, keyed by plan identity
-        #: (the batch holds its plans, so ids stay valid while cached).
-        self._tensor_batches: "OrderedDict[Tuple[int, ...], TensorBatch]" \
+        #: Merged cross-circuit tensor batches, keyed by plan identity and
+        #: version (the batch holds its plans, so ids stay valid while
+        #: cached).
+        self._tensor_batches: "OrderedDict[tuple, TensorBatch]" \
             = OrderedDict()
         #: Per-thread scratch the ladder uses to report kernel time to
         #: the telemetry assembly without widening return signatures.
@@ -784,12 +785,15 @@ class AnalysisEngine:
                           ) -> TensorBatch:
         """The merged :class:`TensorBatch` for this batch composition.
 
-        Keyed by plan identity — plans are memoized on their sessions and
-        the cached batch holds them, so ids cannot be recycled while the
-        entry lives.  LRU-capped so a serve loop cycling through many
-        workload shapes doesn't hoard merged tensors.
+        Keyed by plan identity and version — plans are memoized on their
+        sessions and the cached batch holds them, so ids cannot be recycled
+        while the entry lives, and an edit session's plan patched in place
+        (``CompiledSinglePass.patch_weights``) bumps its version, so the
+        batch merged from its old arrays is not reused.  LRU-capped so a
+        serve loop cycling through many workload shapes doesn't hoard
+        merged tensors.
         """
-        key = tuple(id(plan) for plan in plans)
+        key = tuple((id(plan), plan.version) for plan in plans)
         batch = self._tensor_batches.get(key)
         if batch is None:
             batch = TensorBatch(plans)

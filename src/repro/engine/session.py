@@ -122,9 +122,6 @@ class SessionConfig:
     max_correlation_level_gap: Optional[int] = None
     compiled: str = "auto"
     weights_cache_dir: Optional[str] = None
-    #: Array-backend name for the independence kernel (``None``/"auto"
-    #: follows the process default — see :func:`repro.backend.get_backend`).
-    backend: Optional[str] = None
     #: Time-frame count for sequential circuits (None = combinational).
     #: Part of the session key: ``(circuit, frames)`` pairs get distinct
     #: sessions, since the unrolled netlists differ structurally.
@@ -138,8 +135,7 @@ class SessionConfig:
     #: Option names :meth:`from_options` understands (plus aliases).
     FIELDS = ("weight_method", "n_patterns", "seed", "input_probs",
               "max_correlation_pairs", "max_correlation_level_gap",
-              "compiled", "weights_cache_dir", "backend", "frames",
-              "outputs")
+              "compiled", "weights_cache_dir", "frames", "outputs")
 
     @classmethod
     def from_options(cls, options: Mapping[str, Any]) -> "SessionConfig":
@@ -185,7 +181,6 @@ class SessionConfig:
             "max_correlation_level_gap": self.max_correlation_level_gap,
             "compiled": self.compiled,
             "weights_cache_dir": self.weights_cache_dir,
-            "backend": self.backend,
             "frames": self.frames,
             "outputs": list(self.outputs) if self.outputs else None,
         }

@@ -4,12 +4,16 @@ Every module gets its logger through :func:`get_logger` (namespaced under
 ``repro.``); the CLI calls :func:`configure` with the ``-v`` count.  By
 default the ``repro`` logger carries a ``NullHandler`` — a library must
 never print unless asked — and ``configure`` attaches exactly one stream
-handler no matter how many times it runs.
+handler no matter how many times it runs.  Without an explicit stream
+that handler writes to whatever ``sys.stderr`` is when a record is
+emitted, so a thread that logs after stderr was swapped (and the old one
+closed) still reaches the live stream.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 from typing import Optional
 
 __all__ = ["get_logger", "configure", "verbosity_to_level"]
@@ -23,6 +27,27 @@ _DATEFMT = "%H:%M:%S"
 _handler: Optional[logging.Handler] = None
 
 logging.getLogger(_ROOT_NAME).addHandler(logging.NullHandler())
+
+
+class _StreamHandler(logging.StreamHandler):
+    """A stream handler whose default stream is the *current* ``sys.stderr``.
+
+    :class:`logging.StreamHandler` binds ``sys.stderr`` once, at
+    construction; this one looks it up on every write unless a stream was
+    set explicitly.
+    """
+
+    def __init__(self, stream=None):
+        logging.Handler.__init__(self)
+        self._stream = stream
+
+    @property
+    def stream(self):
+        return sys.stderr if self._stream is None else self._stream
+
+    @stream.setter
+    def stream(self, value):
+        self._stream = value
 
 
 def get_logger(name: Optional[str] = None) -> logging.Logger:
@@ -57,7 +82,7 @@ def configure(verbosity: int = 0, stream=None) -> logging.Logger:
     root = logging.getLogger(_ROOT_NAME)
     level = verbosity_to_level(verbosity)
     if _handler is None:
-        _handler = logging.StreamHandler(stream)
+        _handler = _StreamHandler(stream)
         _handler.setFormatter(logging.Formatter(_FORMAT, datefmt=_DATEFMT))
         root.addHandler(_handler)
     elif stream is not None:

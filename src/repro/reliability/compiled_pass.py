@@ -15,20 +15,26 @@ CompiledCircuit` compiles for bit-parallel simulation):
 * node error state lives in two dense ``(nodes, E)`` matrices ``P01`` /
   ``P10`` indexed by topological slot, where ``E`` is the number of eps
   points — the *trailing eps axis*;
-* gates are grouped by topological level and, within a level, by
-  ``(truth table, arity)`` class; each group carries its fanin slot matrix,
-  its stacked weight vectors, and the class's shared transition lowering
+* :func:`_lower_plain_groups` builds the one level-fused schedule: per
+  topological level, gates are grouped by **arity** (by arity and truth
+  table above ``_FUSE_MAX_ARITY`` inputs), in topological order.  Every
+  gate of an arity shares the fanin-bit tensor, so gates of different
+  functions evaluate together; a group keeps one shared ``(V, V)`` flip
+  mask when all its gates have the same truth table and stacks per-gate
+  ``(m, V, V)`` masks otherwise
   (:func:`repro.probability.error_propagation.transition_lowering`);
-* evaluating a group is a handful of vectorized tensor ops over
-  ``(2**k, gates, 2**k, E)`` — every gate of the class, every error-free
-  vector, every perturbation, and every eps point at once.
+* evaluating a group (:func:`_eval_group`) is a handful of vectorized
+  tensor ops over ``(2**k, gates, 2**k, E)`` — every gate, every
+  error-free vector, every perturbation, and every eps point at once.
 
 :meth:`CompiledSinglePass.run_sweep` therefore computes the entire
 delta(eps) curve — including asymmetric ``eps10`` channels and per-gate
 eps maps, broadcast to ``(gates, E)`` — in one pass instead of ``E``
 Python passes.  That kernel implements the plain Sec. 4 independence
 algorithm; parity with the scalar pass is pinned to <= 1e-12 by
-``tests/test_compiled_pass.py``.
+``tests/test_compiled_pass.py``.  The multi-circuit
+:class:`~repro.reliability.tensor_pass.TensorBatch` runs the same schedule
+and the same :func:`_eval_group` over several plans at once.
 
 :class:`CompiledCorrelatedPass` extends the same lowering to the Sec. 4.1
 **correlation-corrected** pass.  On top of the plain plan it compiles the
@@ -43,10 +49,11 @@ per-pair coefficient state into an integer-indexed *coefficient row table*:
   same-wire rows read a wire's propagated state, expansion rows execute a
   pre-lowered Fig. 4 program — evaluated in a level schedule that
   guarantees every child row and every fanin state is final before use;
-* gates whose transitions reference only the constant-1 row run through
-  the batched independence kernel unchanged; the remainder execute
-  per-gate programs whose elementwise arithmetic (clamp/cap for clamp/cap)
-  mirrors the scalar ``_correlated_transition`` over the trailing eps axis.
+* gates whose transitions reference only the constant-1 row are lowered
+  by :func:`_lower_plain_groups` and run through :func:`_eval_group`
+  unchanged; the remainder execute per-gate programs whose elementwise
+  arithmetic (clamp/cap for clamp/cap) mirrors the scalar
+  ``_correlated_transition`` over the trailing eps axis.
 
 :class:`~repro.reliability.single_pass.SinglePassAnalyzer` dispatches to
 one of the two kernels in **all** modes, keeping the scalar engine as a
@@ -111,17 +118,28 @@ ROW_ONE = 0
 ROW_ZERO = 1
 
 
+#: Widest gate grouped across truth classes with per-gate flip masks;
+#: wider gates group per truth class, since a per-gate mask costs
+#: ``4**k`` floats.
+_FUSE_MAX_ARITY = 6
+
+
+def _group_key(arity: int, truth: Optional[Tuple[int, ...]]) -> tuple:
+    """Schedule key of a gate (or group) within its level: the arity,
+    plus the truth table above :data:`_FUSE_MAX_ARITY` inputs."""
+    return (arity, truth if arity > _FUSE_MAX_ARITY else ())
+
+
 @dataclass
 class _OpGroup:
-    """All same-level gates sharing one (truth, arity) class.
+    """All same-level gates sharing one :func:`_group_key`.
 
     In a single-circuit plan the slot arrays index rows of the flat
     ``(nodes, E)`` state.  The multi-circuit tensor pass
-    (:mod:`repro.reliability.tensor_pass`) reuses the same structure over
-    a padded ``(circuits, rows, E)`` state by setting ``circ`` — a
-    per-gate circuit-index column that pairs with ``slots`` /
-    ``fanin_slots`` for 3-D fancy indexing — and merges groups across
-    circuits by their shared ``truth`` key.
+    (:mod:`repro.reliability.tensor_pass`) concatenates same-key groups
+    of several plans over a padded ``(circuits, rows, E)`` state by
+    setting ``circ`` — a per-gate circuit-index column that pairs with
+    ``slots`` / ``fanin_slots`` for 3-D fancy indexing.
     """
 
     arity: int
@@ -133,28 +151,22 @@ class _OpGroup:
     fanin_slots: np.ndarray
     #: bits[v, t] = value of fanin t in error-free vector v, shape (V, k).
     bits: np.ndarray
-    #: flip_mask[v, u] = 1.0 iff flip set u changes the output, (V, V)
-    #: shared by the class — or (m, V, V) per-gate when the tensor pass
-    #: fuses several truth classes of one arity into a single group.
+    #: flip_mask[v, u] = 1.0 iff flip set u changes the output: one
+    #: (V, V) mask when every gate has the same truth table, else
+    #: per-gate (m, V, V).
     flip_mask: np.ndarray
     #: Weight vectors masked by output side: w_masked[b][v, m] is gate m's
-    #: weight of vector v when truth[v] == b, else 0.
+    #: weight of vector v when its truth[v] == b, else 0.
     w_masked0: np.ndarray
     w_masked1: np.ndarray
     #: Total weight per side W(b), shape (m,).
-    w_side0: np.ndarray = field(default=None)
-    w_side1: np.ndarray = field(default=None)
-    #: The class's truth table — the cross-circuit merge key of the
-    #: tensor pass (never consulted by the single-circuit kernel).
+    w_side0: np.ndarray
+    w_side1: np.ndarray
+    #: The group's truth table when it has a single one (the shared-mask
+    #: form); None for a mixed group.
     truth: Optional[Tuple[int, ...]] = field(default=None, compare=False)
     #: Circuit index per gate, shape (m,); None in single-circuit plans.
     circ: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.w_side0 is None:
-            self.w_side0 = self.w_masked0.sum(axis=0)
-        if self.w_side1 is None:
-            self.w_side1 = self.w_masked1.sum(axis=0)
 
 
 class _LazyNodeErrors(MappingABC):
@@ -296,6 +308,19 @@ class SweepResult:
         )
 
 
+def _side_weights(side1: np.ndarray, w: np.ndarray):
+    """Split per-gate weight rows ``w`` (m, V) by output side ``side1``.
+
+    Returns ``(w_masked0, w_masked1, w_side0, w_side1)`` in the
+    :class:`_OpGroup` layout.  The fresh lowering and the in-place column
+    patch both go through here, so their totals sum in the same order.
+    """
+    wm1 = np.where(side1, w, 0.0)
+    wm0 = np.where(side1, 0.0, w)
+    return (np.ascontiguousarray(wm0.T), np.ascontiguousarray(wm1.T),
+            wm0.sum(axis=1), wm1.sum(axis=1))
+
+
 def _lower_plain_groups(circuit: Circuit, weights: WeightData,
                         index: Mapping[str, int],
                         gate_row: Mapping[str, int],
@@ -303,17 +328,23 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
                         max_arity: int,
                         dtype: np.dtype = np.float64,
                         ) -> Dict[int, List["_OpGroup"]]:
-    """Group ``gates`` by (level, truth, arity) and lower each class.
+    """Lower ``gates`` into the level-fused schedule.
 
-    Shared by the independence kernel (all gates) and the correlated kernel
-    (the subset of gates whose transition math references no nontrivial
-    coefficient row).  Returns ``{level: [_OpGroup, ...]}``.  ``dtype`` is
-    the accumulator precision of the eventual sweep: every float array of
-    the lowered groups is materialized in it so a float32 plan never
-    smuggles float64 operands into the kernel.
+    The one place that decides how plain gates are grouped: per
+    topological level, by :func:`_group_key`, keeping the order of
+    ``gates`` (topological) inside each group.  A group whose gates share
+    one truth table gets that class's ``(V, V)`` flip mask, a mixed group
+    per-gate ``(m, V, V)`` masks.  Used by the independence kernel (all
+    gates), the correlated kernel (the gates whose transition math
+    references no nontrivial coefficient row) and
+    :meth:`CompiledSinglePass.patch_weights` (re-lowered levels).  Returns
+    ``{level: [_OpGroup, ...]}``.  ``dtype`` is the accumulator precision
+    of the eventual sweep: every float array of the lowered groups is
+    materialized in it so a float32 plan never smuggles float64 operands
+    into the kernel.
     """
     dtype = np.dtype(dtype)
-    grouped: Dict[Tuple[int, Tuple[int, ...], int], Dict] = {}
+    grouped: Dict[tuple, List[tuple]] = {}
     for gate in gates:
         node = circuit.node(gate)
         k = node.arity
@@ -322,39 +353,36 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
                 f"gate {gate!r} has arity {k} > {max_arity}; "
                 "use the scalar pass")
         truth = truth_table(node.gate_type, k)
-        key = (circuit.level(gate), truth, k)
-        entry = grouped.setdefault(
-            key, {"slots": [], "eps_rows": [], "fanins": [],
-                  "weights": []})
-        entry["slots"].append(index[gate])
-        entry["eps_rows"].append(gate_row[gate])
-        entry["fanins"].append([index[f] for f in node.fanins])
-        entry["weights"].append(
-            np.asarray(weights.weights[gate], dtype=dtype))
+        grouped.setdefault((circuit.level(gate), _group_key(k, truth)),
+                           []).append((
+                               index[gate], gate_row[gate],
+                               [index[f] for f in node.fanins], truth,
+                               weights.weights[gate]))
 
     levels: Dict[int, List[_OpGroup]] = {}
-    for (level, truth, k), entry in sorted(grouped.items()):
-        bits, flip_mask, truth_arr = transition_lowering(truth, k)
-        if flip_mask.dtype != dtype:
-            # transition_lowering's cache holds shared float64 arrays;
-            # narrow a copy rather than mutating the cached original.
-            flip_mask = flip_mask.astype(dtype)
-        w = np.stack(entry["weights"])              # (m, V)
-        side1 = truth_arr.astype(bool)              # (V,)
-        w_masked1 = np.where(side1[None, :], w, 0.0).T  # (V, m)
-        w_masked0 = np.where(side1[None, :], 0.0, w).T
+    for (level, (k, _)), members in sorted(grouped.items()):
+        slots, eps_rows, fanins, truths, w = zip(*members)
+        classes = {t: transition_lowering(t, k) for t in set(truths)}
+        single = len(classes) == 1
+        # transition_lowering's cache holds shared float64 arrays; astype
+        # narrows a copy (or stacks a new array), never the original.
+        flip_mask = (classes[truths[0]][1] if single
+                     else np.stack([classes[t][1] for t in truths]))
+        wm0, wm1, ws0, ws1 = _side_weights(
+            np.asarray(truths, dtype=bool), np.asarray(w, dtype=dtype))
         levels.setdefault(level, []).append(_OpGroup(
             arity=k,
-            slots=np.asarray(entry["slots"], dtype=np.intp),
-            eps_rows=np.asarray(entry["eps_rows"], dtype=np.intp),
-            fanin_slots=np.asarray(entry["fanins"], dtype=np.intp),
-            bits=bits,
-            flip_mask=flip_mask,
-            w_masked0=np.ascontiguousarray(w_masked0.astype(dtype,
-                                                            copy=False)),
-            w_masked1=np.ascontiguousarray(w_masked1.astype(dtype,
-                                                            copy=False)),
-            truth=truth,
+            slots=np.asarray(slots, dtype=np.intp),
+            eps_rows=np.asarray(eps_rows, dtype=np.intp),
+            fanin_slots=np.asarray(fanins, dtype=np.intp).reshape(
+                len(slots), k),
+            bits=classes[truths[0]][0],
+            flip_mask=flip_mask.astype(dtype, copy=False),
+            w_masked0=wm0,
+            w_masked1=wm1,
+            w_side0=ws0,
+            w_side1=ws1,
+            truth=truths[0] if single else None,
         ))
     return levels
 
@@ -385,23 +413,20 @@ class CompiledSinglePass:
         lowering materializes every float array in this dtype and the
         kernel allocates its accumulators from it, so a ``float32`` plan
         runs the whole sweep in float32 — no silent float64 up-cast.
-    backend:
-        Array-backend name resolved through :func:`repro.backend.
-        get_backend` at sweep time (``None``/"auto" follows the process
-        default / ``REPRO_ARRAY_BACKEND``; numpy when unset).
     """
 
     def __init__(self, circuit: Circuit,
                  weights: WeightData,
                  input_errors: Optional[Mapping[str, ErrorProbability]] = None,
                  max_arity: int = MAX_COMPILED_ARITY,
-                 dtype: np.dtype = np.float64,
-                 backend: Optional[str] = None):
+                 dtype: np.dtype = np.float64):
         circuit.validate()
         self.circuit = circuit
         self.weights = weights
         self.dtype = np.dtype(dtype)
-        self.backend = backend
+        #: Bumped by every :meth:`patch_weights`; anything derived from
+        #: the lowered arrays (a merged tensor batch) keys on it.
+        self.version = 0
         with trace_span("compiled_pass.compile", circuit=circuit.name):
             order = circuit.topological_order()
             self.node_names: List[str] = order
@@ -445,11 +470,12 @@ class CompiledSinglePass:
         ``changed_gates`` are gates whose weight vectors changed (their
         fanin cones were edited); ``retruthed_gates`` are gates whose truth
         table itself changed (a type-only ``swap_gate``).  The former are a
-        pure column rewrite; the latter move between ``(truth, arity)``
-        group classes, so their entire topological level is re-lowered
-        through :func:`_lower_plain_groups` — reproducing, group for group
-        and float for float, what a fresh compile would build for that
-        level.
+        pure column rewrite; the latter can change their group's mask form
+        (or, above ``_FUSE_MAX_ARITY``, their group), so their entire
+        topological level is re-lowered through :func:`_lower_plain_groups`
+        — reproducing, group for group and float for float, what a fresh
+        compile would build for that level.  Each patch bumps
+        :attr:`version`.
 
         Returns ``False`` (leaving the plan untouched) when the circuit's
         node set or topological order differs from the compiled one; the
@@ -475,6 +501,7 @@ class CompiledSinglePass:
                     return False
                 for lv, groups in lowered.items():
                     self.levels[self.level_values.index(lv)] = groups
+                self.num_groups = sum(len(g) for g in self.levels)
             if changed:
                 targets = {self.index[g]: g for g in changed}
                 for level_groups in self.levels:
@@ -489,17 +516,18 @@ class CompiledSinglePass:
                                 dtype=bool)
                             w = np.asarray(weights.weights[gate],
                                            dtype=self.dtype)
-                            group.w_masked1[:, col] = np.where(side1, w, 0.0)
-                            group.w_masked0[:, col] = np.where(side1, 0.0, w)
-                            # Same per-column summation order as the fresh
-                            # compile's sum(axis=0) — bit-identical totals.
-                            group.w_side0[col] = group.w_masked0[:, col].sum()
-                            group.w_side1[col] = group.w_masked1[:, col].sum()
+                            wm0, wm1, ws0, ws1 = _side_weights(
+                                side1[None], w[None])
+                            group.w_masked0[:, col] = wm0[:, 0]
+                            group.w_masked1[:, col] = wm1[:, 0]
+                            group.w_side0[col] = ws0[0]
+                            group.w_side1[col] = ws1[0]
             self.circuit = circuit
             self.weights = weights
             self.output_prob1 = np.asarray(
                 [weights.signal_prob[o] for o in circuit.outputs],
                 dtype=self.dtype)
+            self.version += 1
         if obs_metrics.is_enabled():
             obs_metrics.inc("compiled_pass.patches", circuit=circuit.name)
         return True
@@ -527,29 +555,19 @@ class CompiledSinglePass:
                                              eps10_specs)
         n_nodes = len(self.node_names)
         n_points = len(specs)
-        from ..backend import get_backend
-        bk = get_backend(self.backend)
         with trace_span("compiled_pass.run_sweep", circuit=self.circuit.name,
-                        points=n_points, backend=bk.name):
+                        points=n_points):
             e01 = self._eps_matrix(specs)
             e10 = e01 if eps10_list is None else self._eps_matrix(eps10_list)
-            if not bk.is_numpy:
-                e01 = bk.asarray(e01)
-                e10 = e01 if eps10_list is None else bk.asarray(e10)
-            p01 = bk.zeros((n_nodes, n_points), dtype=self.dtype)
-            p10 = bk.zeros((n_nodes, n_points), dtype=self.dtype)
+            p01 = np.zeros((n_nodes, n_points), dtype=self.dtype)
+            p10 = np.zeros((n_nodes, n_points), dtype=self.dtype)
             for slot, ep in self.input_error_rows:
                 p01[slot] = ep.p01
                 p10[slot] = ep.p10
             for level_groups in self.levels:
                 for group in level_groups:
-                    rows = (group.eps_rows if bk.is_numpy
-                            else bk.index_array(group.eps_rows))
-                    _eval_group(group, p01, p10, e01[rows], e10[rows], bk)
-            if not bk.is_numpy:
-                bk.synchronize()
-                p01 = bk.to_numpy(p01)
-                p10 = bk.to_numpy(p10)
+                    _eval_group(group, p01, p10, e01[group.eps_rows],
+                                e10[group.eps_rows])
             per_output = ((1.0 - self.output_prob1)[:, None]
                           * p01[self.output_slots]
                           + self.output_prob1[:, None]
@@ -575,27 +593,15 @@ class CompiledSinglePass:
         )
 
 
-def _eval_group(group: _OpGroup, p01, p10, e01, e10, bk=None) -> None:
-    """Evaluate one (truth, arity) gate batch over the eps axis.
+def _eval_group(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
+                e01: np.ndarray, e10: np.ndarray) -> None:
+    """Evaluate one gate group over the eps axis — the only plain kernel.
 
     Mutates ``p01`` / ``p10`` in place at ``group.slots`` (with
     ``group.circ`` selecting the leading circuit axis of a tensor-pass
     state).  ``e01`` / ``e10`` are the group's local failure
-    probabilities, shape (m, E).  ``bk`` is a :mod:`repro.backend`
-    instance; ``None`` (and the numpy backend) takes the allocation-free
-    in-place path, other backends a generic path over the same algebra
-    with the group's host arrays mirrored on device per call (zero-copy
-    on CPU backends).
+    probabilities, shape (m, E).
     """
-    if bk is None or bk.is_numpy:
-        _eval_group_numpy(group, p01, p10, e01, e10)
-    else:
-        _eval_group_generic(group, p01, p10, e01, e10, bk)
-
-
-def _eval_group_numpy(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
-                      e01: np.ndarray, e10: np.ndarray) -> None:
-    """The numpy (default) evaluation of one gate batch."""
     if group.circ is None:
         f01 = p01[group.fanin_slots]        # (m, k, E)
         f10 = p10[group.fanin_slots]
@@ -633,7 +639,7 @@ def _eval_group_numpy(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
             old *= 1.0 - pt
             width *= 2
         # Total probability that fanin errors flip the output, per v —
-        # with a per-gate mask when the group fuses several truth classes.
+        # with a per-gate mask when the group mixes truth classes.
         if group.flip_mask.ndim == 3:
             flip = np.einsum("vmue,mvu->vme", r, group.flip_mask[sl])
         else:
@@ -659,65 +665,6 @@ def _eval_group_numpy(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
     else:
         p01[group.circ, group.slots] = out01
         p10[group.circ, group.slots] = out10
-
-
-def _eval_group_generic(group: _OpGroup, p01, p10, e01, e10, bk) -> None:
-    """Backend-generic evaluation: same algebra through the bk façade.
-
-    Values match the numpy path to float rounding on any IEEE backend —
-    ``where``-guarded division replaces ``np.divide(..., where=)`` and
-    out-of-place ``minimum``/``clip`` replace the in-place forms, all
-    value-identical rewrites.
-    """
-    dtype = group.w_masked0.dtype
-    fanin_idx = bk.index_array(group.fanin_slots)
-    slot_idx = bk.index_array(group.slots)
-    if group.circ is None:
-        f01 = p01[fanin_idx]                # (m, k, E)
-        f10 = p10[fanin_idx]
-    else:
-        circ_idx = bk.index_array(group.circ)
-        f01 = p01[circ_idx[:, None], fanin_idx]
-        f10 = p10[circ_idx[:, None], fanin_idx]
-    bits = bk.asarray(group.bits)
-    flip_mask = bk.asarray(group.flip_mask)
-    wm0 = bk.asarray(group.w_masked0)
-    wm1 = bk.asarray(group.w_masked1)
-    n_vec = group.bits.shape[0]             # V = 2**k
-    m, k, n_eps = f01.shape
-
-    pw0 = bk.empty((m, n_eps), dtype=dtype)
-    pw1 = bk.empty((m, n_eps), dtype=dtype)
-    rows = max(1, _CHUNK_ELEMENTS // max(1, n_vec * n_vec * n_eps))
-    for start in range(0, m, rows):
-        sl = slice(start, min(m, start + rows))
-        pv = bk.where(bits[:, None, :, None], f10[None, sl], f01[None, sl])
-        r = bk.ones((n_vec, pv.shape[1], 1, n_eps), dtype=dtype)
-        for t in range(k):
-            pt = pv[:, :, t, None, :]
-            r = bk.concatenate((r * (1.0 - pt), r * pt), axis=2)
-        if group.flip_mask.ndim == 3:
-            flip = bk.einsum("vmue,mvu->vme", r, flip_mask[sl])
-        else:
-            flip = bk.einsum("vmue,vu->vme", r, flip_mask)
-        flip = bk.minimum(flip, 1.0)
-        pw0[sl] = bk.einsum("vm,vme->me", wm0[:, sl], flip)
-        pw1[sl] = bk.einsum("vm,vme->me", wm1[:, sl], flip)
-
-    w0 = bk.asarray(group.w_side0)[:, None]
-    w1 = bk.asarray(group.w_side1)[:, None]
-    r0 = bk.where(w0 > 0.0, pw0 / bk.where(w0 > 0.0, w0, 1.0), 0.0)
-    r1 = bk.where(w1 > 0.0, pw1 / bk.where(w1 > 0.0, w1, 1.0), 0.0)
-    r0 = bk.clip(r0, 0.0, 1.0)
-    r1 = bk.clip(r1, 0.0, 1.0)
-    out01 = r0 * (1.0 - e10) + (1.0 - r0) * e01
-    out10 = r1 * (1.0 - e01) + (1.0 - r1) * e10
-    if group.circ is None:
-        p01[slot_idx] = out01
-        p10[slot_idx] = out10
-    else:
-        p01[circ_idx, slot_idx] = out01
-        p10[circ_idx, slot_idx] = out10
 
 
 # ======================================================================

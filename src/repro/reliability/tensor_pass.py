@@ -2,7 +2,7 @@
 
 The compiled single-circuit kernel (:class:`~repro.reliability.
 compiled_pass.CompiledSinglePass`) already evaluates every eps point of
-one circuit in a single level-scheduled array pass.  Production traffic,
+one circuit in a single level-fused array pass.  Production traffic,
 though, is many *different* circuits at once — and N back-to-back kernel
 invocations serialize on the GIL, repay the per-group dispatch overhead
 N times, and run each circuit's (often small) gate batches far below the
@@ -10,19 +10,19 @@ vector widths the arrays could sustain.
 
 :class:`TensorBatch` removes the per-circuit axis from the dispatch.  It
 pads a batch of compiled plans into one ``(circuit, row, eps)`` state
-tensor and merges their level schedules:
+tensor and runs their schedules as one:
 
 * circuits are aligned by topological level **position** — level ``i``
   of the merged schedule runs level ``i`` of every plan that has one
   (correct because circuits are independent: a gate only ever reads
   state of its own circuit's earlier levels);
-* within a level, :class:`~repro.reliability.compiled_pass._OpGroup`\\ s
-  are merged per ``(truth, arity)`` class across circuits — slot /
-  fanin / weight columns concatenated, plus a **circuit-index column**
-  (``_OpGroup.circ``) that routes each gate's reads and writes to its
-  circuit's plane of the state tensor.  The class's shared ``bits`` /
-  ``flip_mask`` tensors appear once, so a NAND2 from circuit 3 and a
-  NAND2 from circuit 11 evaluate in the same einsum;
+* within a level, the plans' groups with the same schedule key (see
+  :func:`~repro.reliability.compiled_pass._group_key`) are concatenated
+  gate-wise, plus a **circuit-index column** (``_OpGroup.circ``) that
+  routes each gate's reads and writes to its circuit's plane of the
+  state tensor.  The merged group keeps a shared flip mask only when
+  every part is the same single truth class, so a NAND2 from circuit 3
+  and a NOR2 from circuit 11 evaluate in the same einsum;
 * the row axis is padded to the widest circuit; pad rows are **inactive
   by construction** — no merged group ever indexes them, so they stay
   at their zero initialization and masking is free (the waste is
@@ -31,13 +31,11 @@ tensor and merges their level schedules:
   circuit's last column; pad columns compute harmless duplicate values
   that are sliced away before results are returned.
 
-Gate-level arithmetic is byte-for-byte the single-circuit kernel's —
+Gate-level arithmetic is the single-circuit kernel's —
 :func:`~repro.reliability.compiled_pass._eval_group` is shared, with the
-circuit column enabling 3-D fancy indexing — so per-circuit results
-match solo sweeps to float rounding (pinned ≤ 1e-10 over the full
-catalog by ``tests/test_tensor_pass.py``).  The kernel runs through the
-:mod:`repro.backend` façade like the single-circuit path, so the same
-merged schedule executes on numpy, CuPy, or torch.
+circuit column enabling 3-D fancy indexing — so per-circuit results are
+bit-identical to solo sweeps of equal length (pinned over the full
+catalog by ``tests/test_tensor_pass.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import get_backend
 from ..obs import metrics as obs_metrics
 from ..obs import trace_span
 from ..spec import EpsilonSpec, validate_sweep_specs
@@ -55,14 +52,45 @@ from .compiled_pass import (
     SweepResult,
     _eps_matrix,
     _eval_group,
+    _group_key,
     _OpGroup,
 )
 
-#: Widest gate fused across truth classes with a per-gate flip mask —
-#: beyond it the mask's ``4**k`` floats per gate outweigh the dispatch
-#: saving and wide gates fall back to the shared-mask (truth, arity)
-#: merge.
-_FUSE_MAX_ARITY = 6
+
+def _concat_groups(parts: Sequence[Tuple[int, _OpGroup]],
+                   gate_offsets: Sequence[int]) -> _OpGroup:
+    """Concatenate ``(circuit index, group)`` parts of one schedule key.
+
+    The parts' shared ``(V, V)`` mask survives when they are all the same
+    truth class; otherwise every part's mask is spread per gate.
+    """
+    groups = [group for _, group in parts]
+    first = groups[0]
+    single = (first.truth is not None
+              and all(g.truth == first.truth for g in groups))
+    if single:
+        flip_mask = first.flip_mask
+    else:
+        v = len(first.bits)
+        flip_mask = np.concatenate([
+            np.broadcast_to(g.flip_mask, (len(g.slots), v, v))
+            for g in groups])
+    return _OpGroup(
+        arity=first.arity,
+        slots=np.concatenate([g.slots for g in groups]),
+        eps_rows=np.concatenate([g.eps_rows + gate_offsets[ci]
+                                 for ci, g in parts]),
+        fanin_slots=np.concatenate([g.fanin_slots for g in groups]),
+        bits=first.bits,
+        flip_mask=flip_mask,
+        w_masked0=np.concatenate([g.w_masked0 for g in groups], axis=1),
+        w_masked1=np.concatenate([g.w_masked1 for g in groups], axis=1),
+        w_side0=np.concatenate([g.w_side0 for g in groups]),
+        w_side1=np.concatenate([g.w_side1 for g in groups]),
+        truth=first.truth if single else None,
+        circ=np.concatenate([np.full(len(g.slots), ci, dtype=np.intp)
+                             for ci, g in parts]),
+    )
 
 
 class TensorBatch:
@@ -72,7 +100,9 @@ class TensorBatch:
     evaluates per-circuit eps batches in a single level-scheduled pass.
     The merge is pure bookkeeping over the plans' already-lowered arrays
     (no re-lowering, no weight recomputation), so building a
-    ``TensorBatch`` is cheap relative to even one sweep.
+    ``TensorBatch`` is cheap relative to even one sweep.  It copies
+    those arrays: a plan patched in place afterwards (see
+    :attr:`CompiledSinglePass.version`) needs a new batch.
 
     Parameters
     ----------
@@ -81,16 +111,12 @@ class TensorBatch:
         correlated kernel's coefficient rows are per-circuit state and
         do not batch).  Order is preserved: result ``i`` of
         :meth:`run_sweep` belongs to ``plans[i]``.
-    backend:
-        Array-backend name (see :func:`repro.backend.get_backend`);
-        ``None``/"auto" follows the process default.
     dtype:
         Override accumulator precision; default requires every plan to
         agree and uses that common dtype.
     """
 
     def __init__(self, plans: Sequence[CompiledSinglePass],
-                 backend: Optional[str] = None,
                  dtype: Optional[np.dtype] = None):
         if not plans:
             raise ValueError("TensorBatch requires at least one plan")
@@ -110,7 +136,6 @@ class TensorBatch:
             dtype = next(iter(dtypes))
         self.dtype = np.dtype(dtype)
         self.plans: List[CompiledSinglePass] = list(plans)
-        self.backend = backend
 
         with trace_span("tensor_pass.merge", circuits=len(self.plans)):
             self._merge()
@@ -142,70 +167,21 @@ class TensorBatch:
             total += len(p.gate_names)
         self.n_gate_rows = total
 
-        # Merge level schedules by position; within a position, fuse
-        # groups across circuits.  Narrow gates (the overwhelming
-        # majority) fuse per *arity* with a per-gate (m, V, V) flip mask
-        # — ``bits`` depends only on the arity, so gates of different
-        # truth classes share one einsum once the mask rides along per
-        # gate.  Wide gates keep the shared-mask (truth, arity) merge:
-        # their per-gate masks would cost ``V**2`` floats each.
-        # Iteration is plans-in-order then sorted fuse keys, so the
-        # merged schedule (and therefore the float accumulation order
-        # inside each einsum) is deterministic per batch composition.
-        n_levels = max(len(p.levels) for p in plans)
+        # Merge level schedules by position; within a position,
+        # concatenate same-key groups across circuits.  Iteration is plans
+        # in order, then sorted keys, so the merged schedule is
+        # deterministic per batch composition.
         merged: List[List[_OpGroup]] = []
-        for li in range(n_levels):
-            classes: Dict[tuple, Dict] = {}
+        for li in range(max(len(p.levels) for p in plans)):
+            parts: Dict[tuple, List[Tuple[int, _OpGroup]]] = {}
             for ci, plan in enumerate(plans):
-                if li >= len(plan.levels):
-                    continue
-                for group in plan.levels[li]:
-                    fused = group.arity <= _FUSE_MAX_ARITY
-                    key = ((0, group.arity) if fused
-                           else (1, group.arity, group.truth))
-                    entry = classes.get(key)
-                    if entry is None:
-                        entry = {"template": group, "fused": fused,
-                                 "slots": [], "eps_rows": [], "fanins": [],
-                                 "circ": [], "masks": [],
-                                 "wm0": [], "wm1": [], "ws0": [], "ws1": []}
-                        classes[key] = entry
-                    m = len(group.slots)
-                    entry["slots"].append(group.slots)
-                    entry["eps_rows"].append(
-                        group.eps_rows + self.gate_offsets[ci])
-                    entry["fanins"].append(group.fanin_slots)
-                    entry["circ"].append(np.full(m, ci, dtype=np.intp))
-                    if fused:
-                        entry["masks"].append(
-                            np.repeat(group.flip_mask[None], m, axis=0))
-                    entry["wm0"].append(group.w_masked0)
-                    entry["wm1"].append(group.w_masked1)
-                    entry["ws0"].append(group.w_side0)
-                    entry["ws1"].append(group.w_side1)
-            level_groups: List[_OpGroup] = []
-            for key in sorted(classes):
-                entry = classes[key]
-                template: _OpGroup = entry["template"]
-                flip_mask = (np.concatenate(entry["masks"], axis=0)
-                             if entry["fused"] else template.flip_mask)
-                level_groups.append(_OpGroup(
-                    arity=template.arity,
-                    slots=np.concatenate(entry["slots"]),
-                    eps_rows=np.concatenate(entry["eps_rows"]),
-                    fanin_slots=np.concatenate(entry["fanins"], axis=0),
-                    bits=template.bits,
-                    flip_mask=np.ascontiguousarray(flip_mask),
-                    w_masked0=np.ascontiguousarray(
-                        np.concatenate(entry["wm0"], axis=1)),
-                    w_masked1=np.ascontiguousarray(
-                        np.concatenate(entry["wm1"], axis=1)),
-                    w_side0=np.concatenate(entry["ws0"]),
-                    w_side1=np.concatenate(entry["ws1"]),
-                    truth=None if entry["fused"] else template.truth,
-                    circ=np.concatenate(entry["circ"]),
-                ))
-            merged.append(level_groups)
+                if li < len(plan.levels):
+                    for group in plan.levels[li]:
+                        parts.setdefault(
+                            _group_key(group.arity, group.truth),
+                            []).append((ci, group))
+            merged.append([_concat_groups(parts[key], self.gate_offsets)
+                           for key in sorted(parts)])
         self.levels: List[List[_OpGroup]] = merged
         self.num_groups = sum(len(g) for g in merged)
         #: Groups a sequential run would dispatch — the batching win.
@@ -248,10 +224,8 @@ class TensorBatch:
         n_eps = max(n_points)
         any_eps10 = any(e10 is not None for _, e10 in validated)
 
-        bk = get_backend(self.backend)
         with trace_span("tensor_pass", circuits=self.n_circuits,
-                        points=n_eps, backend=bk.name,
-                        pad_waste_rows=self.pad_waste_rows):
+                        points=n_eps, pad_waste_rows=self.pad_waste_rows):
             e01 = np.empty((self.n_gate_rows, n_eps), dtype=self.dtype)
             e10 = (np.empty((self.n_gate_rows, n_eps), dtype=self.dtype)
                    if any_eps10 else e01)
@@ -273,13 +247,10 @@ class TensorBatch:
                     e10[off:end, :n_points[i]] = b10
                     if n_points[i] < n_eps:
                         e10[off:end, n_points[i]:] = b10[:, -1:]
-            if not bk.is_numpy:
-                e01 = bk.asarray(e01)
-                e10 = e01 if not any_eps10 else bk.asarray(e10)
 
-            p01 = bk.zeros((self.n_circuits, self.n_rows, n_eps),
+            p01 = np.zeros((self.n_circuits, self.n_rows, n_eps),
                            dtype=self.dtype)
-            p10 = bk.zeros((self.n_circuits, self.n_rows, n_eps),
+            p10 = np.zeros((self.n_circuits, self.n_rows, n_eps),
                            dtype=self.dtype)
             for i, plan in enumerate(plans):
                 for slot, ep in plan.input_error_rows:
@@ -287,13 +258,8 @@ class TensorBatch:
                     p10[i, slot] = ep.p10
             for level_groups in self.levels:
                 for group in level_groups:
-                    rows = (group.eps_rows if bk.is_numpy
-                            else bk.index_array(group.eps_rows))
-                    _eval_group(group, p01, p10, e01[rows], e10[rows], bk)
-            if not bk.is_numpy:
-                bk.synchronize()
-                p01 = bk.to_numpy(p01)
-                p10 = bk.to_numpy(p10)
+                    _eval_group(group, p01, p10, e01[group.eps_rows],
+                                e10[group.eps_rows])
 
             results: List[SweepResult] = []
             for i, plan in enumerate(plans):

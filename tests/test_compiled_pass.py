@@ -12,14 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit import CircuitBuilder, GateType
 from repro.circuits import get_benchmark, list_benchmarks, random_circuit
 from repro.probability.error_propagation import ErrorProbability
 from repro.probability.weights import compute_weights
 from repro.reliability import (
+    CompiledCorrelatedPass,
+    CompiledPassUnsupported,
     CompiledSinglePass,
     SinglePassAnalyzer,
     SinglePassResult,
     SweepResult,
+    TensorBatch,
 )
 
 TOL = 1e-12
@@ -274,3 +278,168 @@ class TestParallelSweep:
         assert np.allclose(serial.p01, parallel.p01, atol=0.0)
         assert list(parallel.correlation_pairs) == \
             list(serial.correlation_pairs)
+
+
+# -- gate shapes of the level-fused schedule -----------------------------
+def _wide_circuit(l1_type=GateType.AND):
+    """Arity-3 gates of mixed truth classes sharing level 1 and 2, and
+    arity-7 gates of two truth classes at both levels.  ``l1_type`` sets
+    the function of gate ``l1`` (one of two otherwise-AND3 gates)."""
+    b = CircuitBuilder("wide")
+    x = b.inputs(*[f"x{i}" for i in range(8)])
+    b.gate(l1_type, x[0], x[1], x[2], name="l1")
+    b.and_(x[5], x[6], x[7], name="l2")
+    b.or_(x[1], x[2], x[3], name="o3")
+    b.xor(x[2], x[3], x[4], name="e3")
+    b.nand(x[3], x[4], x[5], name="n3")
+    b.and_(*x[:7], name="a7")
+    b.or_(*x[1:], name="o7")
+    b.and_(*x[1:], name="b7")
+    mid = ["l1", "l2", "o3", "e3", "n3", "a7", "o7", "b7"]
+    b.xor("l1", "o3", "e3", name="y3")
+    b.xnor("n3", "a7", "l2", name="z3")
+    b.nor(*mid[:7], name="r7")
+    b.or_(*mid[1:], name="s7")
+    b.outputs("y3", "z3", "r7", "s7")
+    return b.build()
+
+
+def _groups(plan):
+    return [group for level in plan.levels for group in level]
+
+
+class TestFusedSchedule:
+    def test_groups_per_level_and_arity(self):
+        circuit = _wide_circuit()
+        plan = CompiledSinglePass(
+            circuit, compute_weights(circuit, method="exhaustive"))
+        # Per level: one mixed arity-3 group, one group per arity-7 class.
+        assert plan.num_groups == 6
+        forms = sorted((g.arity, g.flip_mask.ndim, len(g.slots))
+                       for g in _groups(plan))
+        assert forms == [(3, 3, 2), (3, 3, 5), (7, 2, 1), (7, 2, 1),
+                         (7, 2, 1), (7, 2, 2)]
+        for group in _groups(plan):
+            assert (group.truth is None) == (group.flip_mask.ndim == 3)
+            # Topological order inside each group.
+            assert list(group.slots) == sorted(group.slots)
+
+    @pytest.mark.parametrize("name", list_benchmarks())
+    def test_catalog_one_group_per_level_arity(self, name):
+        """Catalog gates are all narrow: one group per (level, arity),
+        and a batch of one plan runs that same schedule bit for bit."""
+        circuit = get_benchmark(name)
+        plan = CompiledSinglePass(
+            circuit, compute_weights(circuit, method="sampled",
+                                     n_patterns=1 << 8, seed=0))
+        pairs = {(circuit.level(g), circuit.node(g).arity)
+                 for g in circuit.topological_gates()}
+        assert plan.num_groups == len(pairs)
+        solo = plan.run_sweep(EPS_POINTS)
+        batched = TensorBatch([plan]).run_sweep([EPS_POINTS])[0]
+        assert np.array_equal(batched.p01, solo.p01)
+        assert np.array_equal(batched.p10, solo.p10)
+        assert np.array_equal(batched.per_output, solo.per_output)
+
+    def test_wide_gates_match_scalar_solo_and_batched(self):
+        circuit = _wide_circuit()
+        weights = compute_weights(circuit, method="exhaustive")
+        scalar, fast = _pair(circuit, weights)
+        eps10 = [0.3, 0.1, 0.0, 0.02]
+        _assert_sweep_matches(scalar, fast.sweep(EPS_POINTS, eps10),
+                              EPS_POINTS, eps10)
+        other = _wide_circuit(GateType.NOR)
+        other_weights = compute_weights(other, method="exhaustive")
+        other_scalar, _ = _pair(other, other_weights)
+        c17 = get_benchmark("c17")
+        c17_weights = compute_weights(c17, method="exhaustive")
+        c17_scalar, _ = _pair(c17, c17_weights)
+        batch = TensorBatch([CompiledSinglePass(circuit, weights),
+                             CompiledSinglePass(other, other_weights),
+                             CompiledSinglePass(c17, c17_weights)])
+        sweeps = batch.run_sweep([EPS_POINTS] * 3, [eps10] * 3)
+        for ref, sweep in zip((scalar, other_scalar, c17_scalar), sweeps):
+            _assert_sweep_matches(ref, sweep, EPS_POINTS, eps10)
+
+    def test_max_arity_refusal(self):
+        circuit = _wide_circuit()
+        weights = compute_weights(circuit, method="exhaustive")
+        with pytest.raises(CompiledPassUnsupported, match="arity 7 > 6"):
+            CompiledSinglePass(circuit, weights, max_arity=6)
+        with pytest.raises(CompiledPassUnsupported, match="arity 7 > 6"):
+            CompiledCorrelatedPass(circuit, weights, max_arity=6)
+        CompiledSinglePass(circuit, weights, max_arity=7)
+
+    def test_type_swap_patch_makes_shared_group_mixed(self):
+        """A type-only swap turns a shared-mask group into a mixed one;
+        the patched plan equals a fresh compile bit for bit."""
+        def build(t):
+            b = CircuitBuilder("pair")
+            x = b.inputs(*[f"x{i}" for i in range(4)])
+            b.gate(t, x[0], x[1], x[2], name="l1")
+            b.and_(x[1], x[2], x[3], name="l2")
+            b.or_("l1", "l2", x[3], name="top")
+            b.outputs("top")
+            return b.build()
+
+        before, after = build(GateType.AND), build(GateType.NOR)
+        plan = CompiledSinglePass(
+            before, compute_weights(before, method="exhaustive"))
+        level1 = plan.levels[0]
+        assert len(level1) == 1 and level1[0].flip_mask.ndim == 2
+        weights = compute_weights(after, method="exhaustive")
+        assert plan.patch_weights(after, weights, changed_gates=["top"],
+                                  retruthed_gates=["l1"])
+        assert plan.version == 1
+        fresh = CompiledSinglePass(after, weights)
+        assert plan.levels[0][0].flip_mask.ndim == 3
+        assert plan.num_groups == fresh.num_groups
+        for got, want in zip(_groups(plan), _groups(fresh)):
+            for attr in ("slots", "eps_rows", "fanin_slots", "bits",
+                         "flip_mask", "w_masked0", "w_masked1",
+                         "w_side0", "w_side1"):
+                assert np.array_equal(getattr(got, attr),
+                                      getattr(want, attr)), attr
+            assert got.truth == want.truth
+        patched_sweep = plan.run_sweep(EPS_POINTS)
+        fresh_sweep = fresh.run_sweep(EPS_POINTS)
+        assert np.array_equal(patched_sweep.p01, fresh_sweep.p01)
+        assert np.array_equal(patched_sweep.p10, fresh_sweep.p10)
+
+
+# -- dtype threading (no silent float64 up-cast) --------------------------
+def test_float32_plan_stays_float32(reconvergent_circuit):
+    analyzer = SinglePassAnalyzer(reconvergent_circuit,
+                                  use_correlation=False,
+                                  dtype=np.float32)
+    plan = analyzer.plan
+    assert plan is not None and plan.dtype == np.float32
+    # g1 is alone on its level (shared mask); g4/g5 mix AND and NAND.
+    assert {g.flip_mask.ndim for g in _groups(plan)} == {2, 3}
+    for group in _groups(plan):
+        assert group.flip_mask.dtype == np.float32
+        assert group.w_masked0.dtype == np.float32
+        assert group.w_masked1.dtype == np.float32
+    sweep = plan.run_sweep([0.01, 0.05, 0.2])
+    assert sweep.p01.dtype == np.float32
+    assert sweep.p10.dtype == np.float32
+    assert sweep.per_output.dtype == np.float32
+
+
+def test_float32_parity_with_float64(reconvergent_circuit):
+    eps = [0.01, 0.05, 0.2]
+    s32 = SinglePassAnalyzer(reconvergent_circuit, use_correlation=False,
+                             dtype=np.float32).sweep(eps)
+    s64 = SinglePassAnalyzer(reconvergent_circuit,
+                             use_correlation=False).sweep(eps)
+    assert s64.p01.dtype == np.float64
+    np.testing.assert_allclose(s32.p01, s64.p01, atol=1e-6)
+    np.testing.assert_allclose(s32.per_output, s64.per_output, atol=1e-6)
+
+
+def test_compiled_pass_dtype_parameter(full_adder_circuit):
+    w = compute_weights(full_adder_circuit, method="exhaustive")
+    plan = CompiledSinglePass(full_adder_circuit, w, dtype=np.float32)
+    assert plan.dtype == np.float32
+    plan64 = CompiledSinglePass(full_adder_circuit, w)
+    assert plan64.dtype == np.float64

@@ -463,6 +463,32 @@ class TestLogging:
         assert len(root.handlers) == n_handlers
         assert root.level == logging.DEBUG
 
+    def test_default_stream_follows_current_stderr(self, monkeypatch):
+        """With no stream given, records go to the stderr of the moment
+        they are written — not a since-closed one bound at configure."""
+        import io
+        import sys
+
+        from repro.obs import logging as obs_logging
+        root = logging.getLogger("repro")
+        monkeypatch.setattr(obs_logging, "_handler", None)
+        old_level = root.level
+        first = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        obs.configure_logging(0)
+        handler = obs_logging._handler
+        try:
+            second = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", second)
+            first.close()
+            get_logger("test").warning("after the swap")
+            written = second.getvalue()
+            assert "Logging error" not in written
+            assert written.rstrip().endswith("repro.test: after the swap")
+        finally:
+            root.removeHandler(handler)
+            root.setLevel(old_level)
+
 
 class TestRunlog:
     def test_record_round_trip(self, tmp_path):

@@ -176,6 +176,37 @@ class TestEngineStateFiles:
         finally:
             restored.close()
 
+    def test_manifest_with_null_backend_key_restores(self, tmp_path):
+        """Snapshots written while ``SessionConfig`` still had a
+        ``backend`` field carry ``"backend": null``; they restore, while a
+        live request naming the removed option is still refused."""
+        state_dir = str(tmp_path)
+        engine = AnalysisEngine(max_sessions=4, state_dir=state_dir)
+        try:
+            _edit(engine, "ws", EDITS_BY_KIND["swap_gate"])
+            expected = _reanalyze(engine, "ws")
+            engine.save_state()
+        finally:
+            engine.close()
+        path = tmp_path / "engine-state.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["sessions"]:
+            entry["config"]["backend"] = None
+        path.write_text(json.dumps(manifest))
+        restored = AnalysisEngine(max_sessions=4, state_dir=state_dir)
+        try:
+            summary = restored.load_state()
+            assert summary["sessions"] == 1 and not summary["errors"]
+            resumed = _reanalyze(restored, "ws")
+            assert _result_bytes(resumed) == _result_bytes(expected)
+            env = restored.submit({
+                "op": "analyze", "circuit": "c17", "eps": 0.01,
+                "options": dict(OPTS, backend=None)}).to_dict()
+            assert not env["ok"]
+            assert "unknown session option 'backend'" in env["error"]
+        finally:
+            restored.close()
+
     def test_wstate_corruption_is_a_miss(self, tmp_path):
         circuit = get_benchmark("c17")
         engine = AnalysisEngine(max_sessions=2, state_dir=str(tmp_path))

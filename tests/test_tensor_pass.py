@@ -254,6 +254,41 @@ def test_engine_tensor_batch_cache_reused():
         assert next(iter(eng._tensor_batches.values())) is first
 
 
+def test_engine_tensor_batch_tracks_patched_edit_session():
+    """A type-only ``swap_gate`` patches an edit session's plan in place;
+    the next batch of the same sessions must not reuse the batch merged
+    from the pre-edit arrays."""
+    opts = {"weights": "sampled", "n_patterns": 1 << 10, "seed": 0}
+    circuit = get_benchmark("x2")
+    gate = next(g for g in circuit.topological_gates()
+                if circuit.node(g).gate_type.value == "and")
+
+    def reanalyze(session):
+        return {"op": "reanalyze", "session": session, "eps": [0.01, 0.05],
+                "correlation": False}
+
+    with AnalysisEngine() as eng:
+        for session, name in (("a", "x2"), ("b", "c17")):
+            env = eng.submit({"op": "edit", "session": session,
+                              "circuit": name, "options": opts,
+                              "edits": [{"kind": "set_eps", "eps": 0.01}]})
+            assert env.ok, env.error
+        batch = [reanalyze("a"), reanalyze("b")]
+        before = eng.submit_many(batch)
+        assert [r.method for r in before] == ["single-pass-tensor"] * 2
+        env = eng.submit({"op": "edit", "session": "a",
+                          "edits": [{"kind": "swap_gate", "gate": gate,
+                                     "gate_type": "nand"}]})
+        assert env.ok, env.error
+        after = eng.submit_many(batch)
+        assert [r.method for r in after] == ["single-pass-tensor"] * 2
+        solo = eng.submit(reanalyze("a"))
+    assert solo.ok
+    assert after[0].result["points"] != before[0].result["points"]
+    assert json.dumps(after[0].result["points"], sort_keys=True) == \
+        json.dumps(solo.result["points"], sort_keys=True)
+
+
 def test_engine_tensor_metrics_emitted():
     from repro.obs import metrics as obs_metrics
     obs_metrics.reset()
