@@ -12,9 +12,10 @@ its :class:`~repro.probability.weights.WeightData` into integer-indexed
 numpy arrays **once** (mirroring how :class:`repro.sim.simulator.
 CompiledCircuit` compiles for bit-parallel simulation):
 
-* node error state lives in two dense ``(nodes, E)`` matrices ``P01`` /
-  ``P10`` indexed by topological slot, where ``E`` is the number of eps
-  points — the *trailing eps axis*;
+* node error state lives in one stacked ``(2, nodes + 1, E)`` array
+  indexed by topological slot — ``p01`` and ``p10`` are its two planes,
+  ``E`` is the number of eps points (the *trailing eps axis*), and the
+  extra row is never written, so it reads 0.0;
 * :func:`_lower_plain_groups` builds the one level-fused schedule: per
   topological level, gates are grouped by **arity** (by arity and truth
   table above ``_FUSE_MAX_ARITY`` inputs), in topological order.  Every
@@ -22,9 +23,14 @@ CompiledCircuit` compiles for bit-parallel simulation):
   functions evaluate together; a group keeps one shared ``(V, V)`` flip
   mask when all its gates have the same truth table and stacks per-gate
   ``(m, V, V)`` masks otherwise
-  (:func:`repro.probability.error_propagation.transition_lowering`);
-* evaluating a group (:func:`_eval_group`) is a handful of vectorized
-  tensor ops over ``(2**k, gates, 2**k, E)`` — every gate, every
+  (:func:`repro.probability.error_propagation.transition_lowering`).
+  Unary gates (NOT/BUF) join their level's arity-2 group, reading the
+  zero row as a second fanin, so a level of arity-1 and arity-2 gates —
+  every level of the catalog — is one group;
+* each group carries a flat gather index that reads every fanin's
+  ``p01`` or ``p10`` (by the fanin's bit in each error-free vector) in
+  one ``take``; evaluating it (:func:`_eval_group`) is about a dozen
+  vectorized ops over ``(2**k, gates, 2**k, E)`` — every gate, every
   error-free vector, every perturbation, and every eps point at once.
 
 :meth:`CompiledSinglePass.run_sweep` therefore computes the entire
@@ -134,12 +140,14 @@ def _group_key(arity: int, truth: Optional[Tuple[int, ...]]) -> tuple:
 class _OpGroup:
     """All same-level gates sharing one :func:`_group_key`.
 
-    In a single-circuit plan the slot arrays index rows of the flat
-    ``(nodes, E)`` state.  The multi-circuit tensor pass
+    The kernel reads and writes a stacked ``(2, rows, E)`` state —
+    plane 0 holds ``p01``, plane 1 ``p10``, and one row of every plan is
+    never written, so it stays 0.0.  ``gather`` and ``dest`` are flat
+    indices into that state: in a single-circuit plan ``rows`` is the
+    node count plus that zero row; the multi-circuit tensor pass
     (:mod:`repro.reliability.tensor_pass`) concatenates same-key groups
-    of several plans over a padded ``(circuits, rows, E)`` state by
-    setting ``circ`` — a per-gate circuit-index column that pairs with
-    ``slots`` / ``fanin_slots`` for 3-D fancy indexing.
+    of several plans and re-derives both over its ``circuits * rows``
+    planes.  The remaining arrays are in plan-local slots.
     """
 
     arity: int
@@ -147,7 +155,8 @@ class _OpGroup:
     slots: np.ndarray
     #: Rows into the (gates, E) local-failure matrices, shape (m,).
     eps_rows: np.ndarray
-    #: Fanin node slots, shape (m, k).
+    #: Fanin node slots, shape (m, k); a gate lifted from a narrower
+    #: arity reads the plan's zero row in its padded positions.
     fanin_slots: np.ndarray
     #: bits[v, t] = value of fanin t in error-free vector v, shape (V, k).
     bits: np.ndarray
@@ -155,18 +164,47 @@ class _OpGroup:
     #: (V, V) mask when every gate has the same truth table, else
     #: per-gate (m, V, V).
     flip_mask: np.ndarray
-    #: Weight vectors masked by output side: w_masked[b][v, m] is gate m's
-    #: weight of vector v when its truth[v] == b, else 0.
-    w_masked0: np.ndarray
-    w_masked1: np.ndarray
-    #: Total weight per side W(b), shape (m,).
-    w_side0: np.ndarray
-    w_side1: np.ndarray
+    #: Weight vectors masked by output side: w_masked[b, v, m] is gate m's
+    #: weight of vector v when its truth[v] == b, else 0.  Shape (2, V, m).
+    w_masked: np.ndarray
+    #: Total weight per side W(b), shape (2, m).
+    w_side: np.ndarray
+    #: Flat state row of fanin t under vector v: ``bits[v, t]`` picks the
+    #: plane (p10 where the fanin reads 1, else p01).  Shape (V, m, k).
+    gather: np.ndarray
+    #: Flat state rows written per gate, in plane 0 and plane 1: (2, m).
+    dest: np.ndarray
     #: The group's truth table when it has a single one (the shared-mask
     #: form); None for a mixed group.
     truth: Optional[Tuple[int, ...]] = field(default=None, compare=False)
-    #: Circuit index per gate, shape (m,); None in single-circuit plans.
-    circ: Optional[np.ndarray] = None
+    #: W(b) as a (2, m, 1) divisor, 1.0 where W(b) is 0: every masked
+    #: weight is 0 there, so the weighted flip and the ratio are exactly
+    #: 0 with no zero division.  Derived from ``w_side``.
+    divisor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.refresh_divisor()
+
+    def refresh_divisor(self) -> None:
+        """Re-derive :attr:`divisor` after ``w_side`` changed."""
+        self.divisor = np.where(self.w_side > 0.0, self.w_side,
+                                1.0)[:, :, None]
+
+    @property
+    def w_masked0(self) -> np.ndarray:
+        return self.w_masked[0]
+
+    @property
+    def w_masked1(self) -> np.ndarray:
+        return self.w_masked[1]
+
+    @property
+    def w_side0(self) -> np.ndarray:
+        return self.w_side[0]
+
+    @property
+    def w_side1(self) -> np.ndarray:
+        return self.w_side[1]
 
 
 class _LazyNodeErrors(MappingABC):
@@ -253,6 +291,11 @@ class SweepResult:
     #: analyzer/engine; :meth:`point` threads it into each materialized
     #: :class:`SinglePassResult` so per-frame views survive slicing.
     frames: Optional[int] = None
+    #: ``{name: row}`` over ``node_names``.  A plan passes its own index
+    #: (shared, like ``node_names`` and ``signal_prob``: read-only); built
+    #: on first use otherwise.
+    node_index: Optional[Dict[str, int]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -277,11 +320,10 @@ class SweepResult:
         return {float(e): float(v) for e, v in zip(self.eps_specs, values)}
 
     def _name_index(self) -> Dict[str, int]:
-        index = getattr(self, "_name_index_cache", None)
-        if index is None:
-            index = {name: i for i, name in enumerate(self.node_names)}
-            object.__setattr__(self, "_name_index_cache", index)
-        return index
+        if self.node_index is None:
+            self.node_index = {name: i
+                               for i, name in enumerate(self.node_names)}
+        return self.node_index
 
     def point(self, j: int):
         """Materialize sweep point ``j`` as a :class:`SinglePassResult`.
@@ -300,7 +342,7 @@ class SweepResult:
         return SinglePassResult(
             per_output=per_output,
             node_errors=node_errors,
-            signal_prob=dict(self.signal_prob),
+            signal_prob=self.signal_prob,
             used_correlation=self.used_correlation,
             correlation_pairs=pairs,
             correlation_engine=None,
@@ -308,17 +350,30 @@ class SweepResult:
         )
 
 
+#: Output side b along the leading axis of :func:`_side_weights`' masks.
+_SIDES = np.array([False, True]).reshape(2, 1, 1)
+
+
 def _side_weights(side1: np.ndarray, w: np.ndarray):
     """Split per-gate weight rows ``w`` (m, V) by output side ``side1``.
 
-    Returns ``(w_masked0, w_masked1, w_side0, w_side1)`` in the
-    :class:`_OpGroup` layout.  The fresh lowering and the in-place column
-    patch both go through here, so their totals sum in the same order.
+    Returns ``(w_masked, w_side)`` in the :class:`_OpGroup` layout.  The
+    fresh lowering and the in-place column patch both go through here, so
+    their totals sum in the same order.
     """
-    wm1 = np.where(side1, w, 0.0)
-    wm0 = np.where(side1, 0.0, w)
-    return (np.ascontiguousarray(wm0.T), np.ascontiguousarray(wm1.T),
-            wm0.sum(axis=1), wm1.sum(axis=1))
+    wm = np.where(side1 == _SIDES, w, 0.0)              # (2, m, V)
+    return np.ascontiguousarray(wm.transpose(0, 2, 1)), wm.sum(axis=2)
+
+
+def _lift(truth: Tuple[int, ...], w) -> Tuple[Tuple[int, ...], tuple]:
+    """``(truth, weights)`` of a unary gate as an arity-2 gate whose
+    second fanin reads the always-zero state row.
+
+    The vectors where that fanin reads 1 carry weight 0 and its flip
+    probability is 0, so every padded term of the kernel is an exact 0.0
+    and the lifted gate's result is bit for bit its arity-1 result.
+    """
+    return truth + truth, (w[0], w[1], 0.0, 0.0)
 
 
 def _lower_plain_groups(circuit: Circuit, weights: WeightData,
@@ -332,18 +387,22 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
 
     The one place that decides how plain gates are grouped: per
     topological level, by :func:`_group_key`, keeping the order of
-    ``gates`` (topological) inside each group.  A group whose gates share
-    one truth table gets that class's ``(V, V)`` flip mask, a mixed group
-    per-gate ``(m, V, V)`` masks.  Used by the independence kernel (all
-    gates), the correlated kernel (the gates whose transition math
-    references no nontrivial coefficient row) and
+    ``gates`` (topological) inside each group.  Unary gates (NOT/BUF)
+    join their level's arity-2 group when it has one, reading the zero
+    state row ``len(index)`` as their second fanin (see :func:`_lift`),
+    so a level of arity-1 and arity-2 gates is one group.  A group whose
+    gates share one truth table gets that class's ``(V, V)`` flip mask, a
+    mixed group per-gate ``(m, V, V)`` masks.  Used by the independence
+    kernel (all gates), the correlated kernel (the gates whose transition
+    math references no nontrivial coefficient row) and
     :meth:`CompiledSinglePass.patch_weights` (re-lowered levels).  Returns
-    ``{level: [_OpGroup, ...]}``.  ``dtype`` is the accumulator precision
-    of the eventual sweep: every float array of the lowered groups is
-    materialized in it so a float32 plan never smuggles float64 operands
-    into the kernel.
+    ``{level: [_OpGroup, ...]}`` indexing a ``(2, len(index) + 1, E)``
+    state.  ``dtype`` is the accumulator precision of the eventual sweep:
+    every float array of the lowered groups is materialized in it so a
+    float32 plan never smuggles float64 operands into the kernel.
     """
     dtype = np.dtype(dtype)
+    zero_row = len(index)
     grouped: Dict[tuple, List[tuple]] = {}
     for gate in gates:
         node = circuit.node(gate)
@@ -358,6 +417,15 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
                                index[gate], gate_row[gate],
                                [index[f] for f in node.fanins], truth,
                                weights.weights[gate]))
+    # Lift each level's unary gates into its arity-2 group; sorting by
+    # slot restores the topological order of ``gates``.
+    for level, _ in [key for key in grouped if key[1] == (1, ())]:
+        binary = grouped.get((level, (2, ())))
+        if binary is not None:
+            for slot, row, fanins, truth, w in grouped.pop((level, (1, ()))):
+                binary.append((slot, row, fanins + [zero_row],
+                               *_lift(truth, w)))
+            binary.sort(key=lambda member: member[0])
 
     levels: Dict[int, List[_OpGroup]] = {}
     for (level, (k, _)), members in sorted(grouped.items()):
@@ -368,23 +436,43 @@ def _lower_plain_groups(circuit: Circuit, weights: WeightData,
         # narrows a copy (or stacks a new array), never the original.
         flip_mask = (classes[truths[0]][1] if single
                      else np.stack([classes[t][1] for t in truths]))
-        wm0, wm1, ws0, ws1 = _side_weights(
+        w_masked, w_side = _side_weights(
             np.asarray(truths, dtype=bool), np.asarray(w, dtype=dtype))
+        bits = classes[truths[0]][0]
+        slots = np.asarray(slots, dtype=np.intp)
+        fanin_slots = np.asarray(fanins, dtype=np.intp).reshape(len(slots), k)
         levels.setdefault(level, []).append(_OpGroup(
             arity=k,
-            slots=np.asarray(slots, dtype=np.intp),
+            slots=slots,
             eps_rows=np.asarray(eps_rows, dtype=np.intp),
-            fanin_slots=np.asarray(fanins, dtype=np.intp).reshape(
-                len(slots), k),
-            bits=classes[truths[0]][0],
+            fanin_slots=fanin_slots,
+            bits=bits,
             flip_mask=flip_mask.astype(dtype, copy=False),
-            w_masked0=wm0,
-            w_masked1=wm1,
-            w_side0=ws0,
-            w_side1=ws1,
+            w_masked=w_masked,
+            w_side=w_side,
+            gather=_gather_index(bits, fanin_slots, zero_row + 1),
+            dest=_dest_index(slots, zero_row + 1),
             truth=truths[0] if single else None,
         ))
     return levels
+
+
+def _gather_index(bits: np.ndarray, rows: np.ndarray,
+                  plane_rows: int) -> np.ndarray:
+    """Flat ``(V, m, k)`` index of every fanin read into a stacked
+    ``(2, plane_rows, E)`` state viewed as ``(2 * plane_rows, E)``."""
+    return bits[:, None, :] * plane_rows + rows[None]
+
+
+def _dest_index(rows: np.ndarray, plane_rows: int) -> np.ndarray:
+    """Flat ``(2, m)`` rows of a group's outputs in both state planes."""
+    return np.array([[0], [plane_rows]]) + rows
+
+
+def _stack_eps(e01: np.ndarray, e10: np.ndarray) -> np.ndarray:
+    """The kernel's ``(4, gates, E)`` local-failure operand:
+    ``e01, e10, 1 - e10, 1 - e01``, built once per sweep."""
+    return np.stack((e01, e10, 1.0 - e10, 1.0 - e01))
 
 
 class CompiledSinglePass:
@@ -453,13 +541,19 @@ class CompiledSinglePass:
 
             self.output_slots = np.asarray(
                 [self.index[o] for o in circuit.outputs], dtype=np.intp)
-            self.output_prob1 = np.asarray(
-                [weights.signal_prob[o] for o in circuit.outputs],
-                dtype=self.dtype)
+            self._snapshot_weights(weights)
         if obs_metrics.is_enabled():
             obs_metrics.inc("compiled_pass.compiles", circuit=circuit.name)
             obs_metrics.set_gauge("compiled_pass.groups", self.num_groups,
                                   circuit=circuit.name)
+
+    def _snapshot_weights(self, weights: WeightData) -> None:
+        """Per-plan copies every sweep result shares (read-only): the
+        signal probabilities and the outputs' Pr[1]."""
+        self.signal_prob: Dict[str, float] = dict(weights.signal_prob)
+        self.output_prob1 = np.asarray(
+            [weights.signal_prob[o] for o in self.circuit.outputs],
+            dtype=self.dtype)
 
     # ------------------------------------------------------------------
     def patch_weights(self, circuit: Circuit, weights: WeightData,
@@ -506,27 +600,25 @@ class CompiledSinglePass:
                 targets = {self.index[g]: g for g in changed}
                 for level_groups in self.levels:
                     for group in level_groups:
-                        for col, slot in enumerate(group.slots):
-                            gate = targets.get(int(slot))
-                            if gate is None:
-                                continue
+                        cols = [col for col, slot in enumerate(group.slots)
+                                if int(slot) in targets]
+                        for col in cols:
+                            gate = targets[int(group.slots[col])]
                             node = circuit.node(gate)
-                            side1 = np.asarray(
-                                truth_table(node.gate_type, node.arity),
-                                dtype=bool)
-                            w = np.asarray(weights.weights[gate],
-                                           dtype=self.dtype)
-                            wm0, wm1, ws0, ws1 = _side_weights(
-                                side1[None], w[None])
-                            group.w_masked0[:, col] = wm0[:, 0]
-                            group.w_masked1[:, col] = wm1[:, 0]
-                            group.w_side0[col] = ws0[0]
-                            group.w_side1[col] = ws1[0]
+                            truth = truth_table(node.gate_type, node.arity)
+                            w = weights.weights[gate]
+                            if node.arity < group.arity:
+                                truth, w = _lift(truth, w)
+                            w_masked, w_side = _side_weights(
+                                np.asarray(truth, dtype=bool)[None],
+                                np.asarray(w, dtype=self.dtype)[None])
+                            group.w_masked[:, :, col] = w_masked[:, :, 0]
+                            group.w_side[:, col] = w_side[:, 0]
+                        if cols:
+                            group.refresh_divisor()
             self.circuit = circuit
             self.weights = weights
-            self.output_prob1 = np.asarray(
-                [weights.signal_prob[o] for o in circuit.outputs],
-                dtype=self.dtype)
+            self._snapshot_weights(weights)
             self.version += 1
         if obs_metrics.is_enabled():
             obs_metrics.inc("compiled_pass.patches", circuit=circuit.name)
@@ -559,15 +651,17 @@ class CompiledSinglePass:
                         points=n_points):
             e01 = self._eps_matrix(specs)
             e10 = e01 if eps10_list is None else self._eps_matrix(eps10_list)
-            p01 = np.zeros((n_nodes, n_points), dtype=self.dtype)
-            p10 = np.zeros((n_nodes, n_points), dtype=self.dtype)
+            eps = _stack_eps(e01, e10)
+            # p01 / p10 planes plus the zero row lifted gates read.
+            state = np.zeros((2, n_nodes + 1, n_points), dtype=self.dtype)
             for slot, ep in self.input_error_rows:
-                p01[slot] = ep.p01
-                p10[slot] = ep.p10
+                state[:, slot] = ((ep.p01,), (ep.p10,))
+            flat = state.reshape(-1, n_points)
             for level_groups in self.levels:
                 for group in level_groups:
-                    _eval_group(group, p01, p10, e01[group.eps_rows],
-                                e10[group.eps_rows])
+                    _eval_group(group, flat, eps)
+            p01 = state[0, :n_nodes]
+            p10 = state[1, :n_nodes]
             per_output = ((1.0 - self.output_prob1)[:, None]
                           * p01[self.output_slots]
                           + self.output_prob1[:, None]
@@ -582,62 +676,46 @@ class CompiledSinglePass:
             circuit_name=self.circuit.name,
             eps_specs=specs,
             eps10_specs=eps10_list,
-            node_names=list(self.node_names),
+            node_names=self.node_names,
             outputs=list(self.circuit.outputs),
             per_output=per_output,
             p01=p01,
             p10=p10,
-            signal_prob=dict(self.weights.signal_prob),
+            signal_prob=self.signal_prob,
             used_correlation=False,
             correlation_pairs=np.zeros(n_points, dtype=np.int64),
+            node_index=self.index,
         )
 
 
-def _eval_group(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
-                e01: np.ndarray, e10: np.ndarray) -> None:
+def _eval_group(group: _OpGroup, state: np.ndarray, eps: np.ndarray) -> None:
     """Evaluate one gate group over the eps axis — the only plain kernel.
 
-    Mutates ``p01`` / ``p10`` in place at ``group.slots`` (with
-    ``group.circ`` selecting the leading circuit axis of a tensor-pass
-    state).  ``e01`` / ``e10`` are the group's local failure
-    probabilities, shape (m, E).
+    ``state`` is the stacked ``(2, rows, E)`` p01/p10 state viewed flat as
+    ``(2 * rows, E)``; the group's rows are written in place.  ``eps`` is
+    the sweep's :func:`_stack_eps` operand.  Shared by
+    :class:`CompiledSinglePass`, the tensor pass and the correlated pass's
+    plain gates.
     """
-    if group.circ is None:
-        f01 = p01[group.fanin_slots]        # (m, k, E)
-        f10 = p10[group.fanin_slots]
-    else:
-        f01 = p01[group.circ[:, None], group.fanin_slots]
-        f10 = p10[group.circ[:, None], group.fanin_slots]
-    n_vec = group.bits.shape[0]             # V = 2**k
-    m, k, n_eps = f01.shape
-    dtype = p01.dtype
-
-    pw0 = np.empty((m, n_eps), dtype=dtype)
-    pw1 = np.empty((m, n_eps), dtype=dtype)
+    n_vec, k = group.bits.shape               # V = 2**k
+    m = len(group.eps_rows)
+    n_eps = state.shape[1]
+    pw = np.empty((2, m, n_eps), dtype=state.dtype)
     # Chunk the gate batch so the (V, chunk, V, E) intermediate stays small.
     rows = max(1, _CHUNK_ELEMENTS // max(1, n_vec * n_vec * n_eps))
     for start in range(0, m, rows):
-        sl = slice(start, min(m, start + rows))
+        sl = slice(start, start + rows)
         # Per-fanin flip probability under each error-free vector v: the
-        # scalar pass's probs[t][events[t]] — p01 where fanin t reads 0,
-        # p10 where it reads 1.  Shape (V, mc, k, E).
-        pv = np.where(group.bits[:, None, :, None], f10[None, sl],
-                      f01[None, sl])
-        # Distribution over flip sets u by successive doubling: after step
-        # t, the first 2**(t+1) lanes of axis 2 enumerate all flip subsets
-        # of fanins 0..t.  The doubling runs inside one preallocated
-        # (V, mc, V, E) buffer — lanes [w, 2w) take old*p, then [0, w)
-        # scales in place by (1-p): the same products, no concatenates.
-        mc = pv.shape[1]
-        r = np.empty((n_vec, mc, n_vec, n_eps), dtype=dtype)
-        r[:, :, 0, :] = 1.0
-        width = 1
-        for t in range(k):
-            pt = pv[:, :, t, None, :]
-            old = r[:, :, :width]
-            np.multiply(old, pt, out=r[:, :, width:2 * width])
-            old *= 1.0 - pt
-            width *= 2
+        # scalar pass's probs[t][events[t]], p01 or p10 by the fanin's
+        # bit (folded into the gather).  Shape (V, mc, k, E).
+        p = state.take(group.gather[:, sl], axis=0)[:, :, :, None]
+        q = np.concatenate((1.0 - p, p), axis=3)    # (V, mc, k, 2, E)
+        # Distribution over flip sets u (bit t of u flips fanin t): the
+        # left-associated outer product of the per-fanin (1-p, p) pairs.
+        r = q[:, :, 0]
+        for t in range(1, k):
+            r = (q[:, :, t, :, None] * r[:, :, None]).reshape(
+                n_vec, -1, 1 << (t + 1), n_eps)
         # Total probability that fanin errors flip the output, per v —
         # with a per-gate mask when the group mixes truth classes.
         if group.flip_mask.ndim == 3:
@@ -646,25 +724,16 @@ def _eval_group(group: _OpGroup, p01: np.ndarray, p10: np.ndarray,
             flip = np.einsum("vmue,vu->vme", r, group.flip_mask)
         np.minimum(flip, 1.0, out=flip)
         # Weighted components PW(b) = sum_v W[v] * flip[v] over side b.
-        pw0[sl] = np.einsum("vm,vme->me", group.w_masked0[:, sl], flip)
-        pw1[sl] = np.einsum("vm,vme->me", group.w_masked1[:, sl], flip)
+        np.einsum("bvm,vme->bme", group.w_masked[:, :, sl], flip,
+                  out=pw[:, sl])
 
     # Fold in the local failure channel: item (iii) of the paper's Sec. 4,
-    # identical to combine_with_local_failure but over the whole batch.
-    w0 = group.w_side0[:, None]
-    w1 = group.w_side1[:, None]
-    r0 = np.divide(pw0, w0, out=np.zeros_like(pw0), where=w0 > 0.0)
-    r1 = np.divide(pw1, w1, out=np.zeros_like(pw1), where=w1 > 0.0)
-    np.clip(r0, 0.0, 1.0, out=r0)
-    np.clip(r1, 0.0, 1.0, out=r1)
-    out01 = r0 * (1.0 - e10) + (1.0 - r0) * e01
-    out10 = r1 * (1.0 - e01) + (1.0 - r1) * e10
-    if group.circ is None:
-        p01[group.slots] = out01
-        p10[group.slots] = out10
-    else:
-        p01[group.circ, group.slots] = out01
-        p10[group.circ, group.slots] = out10
+    # identical to combine_with_local_failure but over the whole batch:
+    # out01 = r0 (1 - e10) + (1 - r0) e01, out10 = r1 (1 - e01) + (1 - r1) e10.
+    ratio = pw / group.divisor
+    np.minimum(ratio, 1.0, out=ratio)
+    e = eps.take(group.eps_rows, axis=1)
+    state[group.dest] = ratio * e[2:] + (1.0 - ratio) * e[:2]
 
 
 # ======================================================================
@@ -1220,19 +1289,19 @@ class CompiledCorrelatedPass:
             e01 = _eps_matrix(self.gate_names, specs)
             e10 = (e01 if eps10_list is None
                    else _eps_matrix(self.gate_names, eps10_list))
-            p01 = np.zeros((n_nodes, n_points), dtype=np.float64)
-            p10 = np.zeros((n_nodes, n_points), dtype=np.float64)
+            eps = _stack_eps(e01, e10)
+            state = np.zeros((2, n_nodes + 1, n_points), dtype=np.float64)
             for slot, ep in self.input_error_rows:
-                p01[slot] = ep.p01
-                p10[slot] = ep.p10
+                state[:, slot] = ((ep.p01,), (ep.p10,))
+            flat = state.reshape(-1, n_points)
+            p01, p10 = state
             C = np.empty((self.n_rows, n_points), dtype=np.float64)
             C[ROW_ONE] = 1.0
             C[ROW_ZERO] = 0.0
             for plain_groups, corr_gates, same_rows, expand_rows \
                     in self._schedule:
                 for group in plain_groups:
-                    _eval_group(group, p01, p10,
-                                e01[group.eps_rows], e10[group.eps_rows])
+                    _eval_group(group, flat, eps)
                 for gp in corr_gates:
                     _eval_corr_gate(gp, p01, p10, C,
                                     e01[gp.eps_row], e10[gp.eps_row])
@@ -1250,6 +1319,8 @@ class CompiledCorrelatedPass:
                           * p01[self.output_slots]
                           + self.output_prob1[:, None]
                           * p10[self.output_slots])
+            p01 = p01[:n_nodes]
+            p10 = p10[:n_nodes]
         if obs_metrics.is_enabled():
             labels = {"circuit": self.circuit.name}
             obs_metrics.inc("compiled_pass.correlated_sweeps", **labels)
@@ -1264,7 +1335,7 @@ class CompiledCorrelatedPass:
             circuit_name=self.circuit.name,
             eps_specs=specs,
             eps10_specs=eps10_list,
-            node_names=list(self.node_names),
+            node_names=self.node_names,
             outputs=list(self.circuit.outputs),
             per_output=per_output,
             p01=p01,
@@ -1275,4 +1346,5 @@ class CompiledCorrelatedPass:
                                       dtype=np.int64),
             correlation_pair_keys=list(self.pair_keys),
             correlation_coefficients=coefficients,
+            node_index=self.index,
         )

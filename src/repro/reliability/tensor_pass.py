@@ -9,8 +9,9 @@ N times, and run each circuit's (often small) gate batches far below the
 vector widths the arrays could sustain.
 
 :class:`TensorBatch` removes the per-circuit axis from the dispatch.  It
-pads a batch of compiled plans into one ``(circuit, row, eps)`` state
-tensor and runs their schedules as one:
+pads a batch of compiled plans into one stacked ``(2, circuit, row,
+eps)`` state (the p01 and p10 planes, each circuit's block one row wider
+than the widest circuit) and runs their schedules as one:
 
 * circuits are aligned by topological level **position** — level ``i``
   of the merged schedule runs level ``i`` of every plan that has one
@@ -18,24 +19,26 @@ tensor and runs their schedules as one:
   state of its own circuit's earlier levels);
 * within a level, the plans' groups with the same schedule key (see
   :func:`~repro.reliability.compiled_pass._group_key`) are concatenated
-  gate-wise, plus a **circuit-index column** (``_OpGroup.circ``) that
-  routes each gate's reads and writes to its circuit's plane of the
-  state tensor.  The merged group keeps a shared flip mask only when
+  gate-wise, and their flat gather and write indices are re-derived with
+  each circuit's block offset, so every gate reads and writes its own
+  circuit's rows.  The merged group keeps a shared flip mask only when
   every part is the same single truth class, so a NAND2 from circuit 3
   and a NOR2 from circuit 11 evaluate in the same einsum;
-* the row axis is padded to the widest circuit; pad rows are **inactive
-  by construction** — no merged group ever indexes them, so they stay
-  at their zero initialization and masking is free (the waste is
-  surfaced as :attr:`pad_waste_rows`);
+* the row axis is padded; pad rows are **inactive by construction** —
+  no merged group ever writes them, so they stay at their zero
+  initialization and masking is free (the waste is surfaced as
+  :attr:`pad_waste_rows`).  Row ``len(node_names)`` of each circuit is
+  always a pad row, so it is that plan's zero row: the padded fanin of
+  its lifted NOT/BUF gates;
 * eps batches of different lengths are padded by replicating each
   circuit's last column; pad columns compute harmless duplicate values
   that are sliced away before results are returned.
 
 Gate-level arithmetic is the single-circuit kernel's —
-:func:`~repro.reliability.compiled_pass._eval_group` is shared, with the
-circuit column enabling 3-D fancy indexing — so per-circuit results are
-bit-identical to solo sweeps of equal length (pinned over the full
-catalog by ``tests/test_tensor_pass.py``).
+:func:`~repro.reliability.compiled_pass._eval_group` is shared, only the
+indices differ — so per-circuit results are bit-identical to solo
+sweeps of equal length (pinned over the full catalog by
+``tests/test_tensor_pass.py``).
 """
 
 from __future__ import annotations
@@ -50,19 +53,25 @@ from ..spec import EpsilonSpec, validate_sweep_specs
 from .compiled_pass import (
     CompiledSinglePass,
     SweepResult,
+    _dest_index,
     _eps_matrix,
     _eval_group,
+    _gather_index,
     _group_key,
     _OpGroup,
+    _stack_eps,
 )
 
 
 def _concat_groups(parts: Sequence[Tuple[int, _OpGroup]],
-                   gate_offsets: Sequence[int]) -> _OpGroup:
+                   gate_offsets: Sequence[int], block_rows: int,
+                   n_circuits: int) -> _OpGroup:
     """Concatenate ``(circuit index, group)`` parts of one schedule key.
 
-    The parts' shared ``(V, V)`` mask survives when they are all the same
-    truth class; otherwise every part's mask is spread per gate.
+    Circuit ``ci``'s rows sit at ``ci * block_rows`` of each state plane,
+    so its gather and write indices shift by that much.  The parts'
+    shared ``(V, V)`` mask survives when they are all the same truth
+    class; otherwise every part's mask is spread per gate.
     """
     groups = [group for _, group in parts]
     first = groups[0]
@@ -75,21 +84,25 @@ def _concat_groups(parts: Sequence[Tuple[int, _OpGroup]],
         flip_mask = np.concatenate([
             np.broadcast_to(g.flip_mask, (len(g.slots), v, v))
             for g in groups])
+    slots = np.concatenate([g.slots for g in groups])
+    fanin_slots = np.concatenate([g.fanin_slots for g in groups])
+    base = np.concatenate([np.full(len(g.slots), ci * block_rows,
+                                   dtype=np.intp) for ci, g in parts])
+    plane_rows = n_circuits * block_rows
     return _OpGroup(
         arity=first.arity,
-        slots=np.concatenate([g.slots for g in groups]),
+        slots=slots,
         eps_rows=np.concatenate([g.eps_rows + gate_offsets[ci]
                                  for ci, g in parts]),
-        fanin_slots=np.concatenate([g.fanin_slots for g in groups]),
+        fanin_slots=fanin_slots,
         bits=first.bits,
         flip_mask=flip_mask,
-        w_masked0=np.concatenate([g.w_masked0 for g in groups], axis=1),
-        w_masked1=np.concatenate([g.w_masked1 for g in groups], axis=1),
-        w_side0=np.concatenate([g.w_side0 for g in groups]),
-        w_side1=np.concatenate([g.w_side1 for g in groups]),
+        w_masked=np.concatenate([g.w_masked for g in groups], axis=2),
+        w_side=np.concatenate([g.w_side for g in groups], axis=1),
+        gather=_gather_index(first.bits, fanin_slots + base[:, None],
+                             plane_rows),
+        dest=_dest_index(slots + base, plane_rows),
         truth=first.truth if single else None,
-        circ=np.concatenate([np.full(len(g.slots), ci, dtype=np.intp)
-                             for ci, g in parts]),
     )
 
 
@@ -158,6 +171,10 @@ class TensorBatch:
         #: Pad rows across the whole batch — the cost of rectangularity.
         self.pad_waste_rows = sum(self.n_rows - len(p.node_names)
                                   for p in plans)
+        # Each circuit's block has one more row than the widest circuit,
+        # so row len(node_names) of every circuit — the zero row its
+        # lifted gates read — is a pad row nothing writes.
+        block_rows = self.n_rows + 1
         #: Row offset of each circuit in the merged (gates_total, E)
         #: local-failure matrices.
         self.gate_offsets: List[int] = []
@@ -180,7 +197,8 @@ class TensorBatch:
                         parts.setdefault(
                             _group_key(group.arity, group.truth),
                             []).append((ci, group))
-            merged.append([_concat_groups(parts[key], self.gate_offsets)
+            merged.append([_concat_groups(parts[key], self.gate_offsets,
+                                          block_rows, len(plans))
                            for key in sorted(parts)])
         self.levels: List[List[_OpGroup]] = merged
         self.num_groups = sum(len(g) for g in merged)
@@ -248,18 +266,17 @@ class TensorBatch:
                     if n_points[i] < n_eps:
                         e10[off:end, n_points[i]:] = b10[:, -1:]
 
-            p01 = np.zeros((self.n_circuits, self.n_rows, n_eps),
-                           dtype=self.dtype)
-            p10 = np.zeros((self.n_circuits, self.n_rows, n_eps),
-                           dtype=self.dtype)
+            eps = _stack_eps(e01, e10)
+            state = np.zeros((2, self.n_circuits, self.n_rows + 1, n_eps),
+                             dtype=self.dtype)
             for i, plan in enumerate(plans):
                 for slot, ep in plan.input_error_rows:
-                    p01[i, slot] = ep.p01
-                    p10[i, slot] = ep.p10
+                    state[:, i, slot] = ((ep.p01,), (ep.p10,))
+            flat = state.reshape(-1, n_eps)
             for level_groups in self.levels:
                 for group in level_groups:
-                    _eval_group(group, p01, p10, e01[group.eps_rows],
-                                e10[group.eps_rows])
+                    _eval_group(group, flat, eps)
+            p01, p10 = state
 
             results: List[SweepResult] = []
             for i, plan in enumerate(plans):
@@ -275,15 +292,16 @@ class TensorBatch:
                     circuit_name=plan.circuit.name,
                     eps_specs=specs,
                     eps10_specs=e10b,
-                    node_names=list(plan.node_names),
+                    node_names=plan.node_names,
                     outputs=list(plan.circuit.outputs),
                     per_output=per_output,
                     p01=c01,
                     p10=c10,
-                    signal_prob=dict(plan.weights.signal_prob),
+                    signal_prob=plan.signal_prob,
                     used_correlation=False,
                     correlation_pairs=np.zeros(n_points[i],
                                                dtype=np.int64),
+                    node_index=plan.index,
                 ))
         if obs_metrics.is_enabled():
             obs_metrics.inc("tensor_pass.sweeps")

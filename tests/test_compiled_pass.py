@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import CircuitBuilder, GateType
+from repro.circuit import CircuitBuilder, GateType, truth_table
 from repro.circuits import get_benchmark, list_benchmarks, random_circuit
 from repro.probability.error_propagation import ErrorProbability
 from repro.probability.weights import compute_weights
+from repro.reliability import compiled_pass
 from repro.reliability import (
     CompiledCorrelatedPass,
     CompiledPassUnsupported,
@@ -326,15 +327,16 @@ class TestFusedSchedule:
 
     @pytest.mark.parametrize("name", list_benchmarks())
     def test_catalog_one_group_per_level_arity(self, name):
-        """Catalog gates are all narrow: one group per (level, arity),
-        and a batch of one plan runs that same schedule bit for bit."""
+        """Catalog gates are all arity 1 or 2: one group per level, and a
+        batch of one plan runs that same schedule bit for bit."""
         circuit = get_benchmark(name)
         plan = CompiledSinglePass(
             circuit, compute_weights(circuit, method="sampled",
                                      n_patterns=1 << 8, seed=0))
-        pairs = {(circuit.level(g), circuit.node(g).arity)
-                 for g in circuit.topological_gates()}
-        assert plan.num_groups == len(pairs)
+        gates = circuit.topological_gates()
+        assert {circuit.node(g).arity for g in gates} <= {1, 2}
+        # NOT/BUF ride in their level's arity-2 group: one group per level.
+        assert plan.num_groups == len({circuit.level(g) for g in gates})
         solo = plan.run_sweep(EPS_POINTS)
         batched = TensorBatch([plan]).run_sweep([EPS_POINTS])[0]
         assert np.array_equal(batched.p01, solo.p01)
@@ -405,6 +407,153 @@ class TestFusedSchedule:
         fresh_sweep = fresh.run_sweep(EPS_POINTS)
         assert np.array_equal(patched_sweep.p01, fresh_sweep.p01)
         assert np.array_equal(patched_sweep.p10, fresh_sweep.p10)
+
+
+# -- unary gates lifted into their level's arity-2 group -----------------
+def _unary_circuit(n_type=GateType.NOT):
+    """NOT/BUF gates sharing levels with arity-2 gates.  ``n`` (type
+    ``n_type``) and ``u`` sit in level 2, ``m2`` in level 3 reads ``n``,
+    so a swap of ``n`` changes ``m2``'s weights."""
+    b = CircuitBuilder("unary")
+    a, bb, c, d = b.inputs("a", "b", "c", "d")
+    b.and_(a, bb, name="g1")
+    b.or_(bb, c, name="g2")
+    b.not_(d, name="i1")
+    b.gate(n_type, "g1", name="n")
+    b.buf("g2", name="u")
+    b.xor("g1", "i1", name="h")
+    b.nand("n", "h", name="k")
+    b.buf("n", name="m2")
+    b.outputs("k", "m2", "u")
+    return b.build()
+
+
+def _unary_recurrence(gate_type, w, f01, f10, e01, e10):
+    """The kernel's arithmetic for one unary gate, on its own: the flip
+    probability of input vector v is the fanin's p01 (v = 0) or p10
+    (v = 1); the gate's side-b ratio is that vector's weighted flip over
+    its weight."""
+    truth = truth_table(gate_type, 1)
+    ratio = {}
+    for v, p in ((0, f01), (1, f10)):
+        weighted = w[v] * np.minimum(p, 1.0)
+        ratio[truth[v]] = (np.minimum(weighted / w[v], 1.0) if w[v] > 0.0
+                           else np.zeros_like(p))
+    return (ratio[0] * (1.0 - e10) + (1.0 - ratio[0]) * e01,
+            ratio[1] * (1.0 - e01) + (1.0 - ratio[1]) * e10)
+
+
+class TestUnaryLift:
+    def test_unary_gates_join_the_arity2_group(self):
+        circuit = _unary_circuit()
+        plan = CompiledSinglePass(
+            circuit, compute_weights(circuit, method="exhaustive"))
+        assert plan.num_groups == len(plan.levels) == 3
+        for group in _groups(plan):
+            assert group.arity == 2 and group.truth is None
+        # The padded fanin of every lifted gate is the zero row.
+        zero_row = len(plan.node_names)
+        level2 = plan.levels[1][0]
+        cols = {plan.node_names[s]: c for c, s in enumerate(level2.slots)}
+        assert level2.fanin_slots[cols["n"], 1] == zero_row
+        assert level2.fanin_slots[cols["u"], 1] == zero_row
+
+    def test_lifted_gate_equals_unary_recurrence(self):
+        circuit = _unary_circuit()
+        weights = compute_weights(circuit, method="exhaustive")
+        plan = CompiledSinglePass(circuit, weights)
+        eps10 = [0.3, 0.1, 0.0, 0.02]
+        sweep = plan.run_sweep(EPS_POINTS, eps10)
+        e01 = np.asarray(EPS_POINTS)
+        e10 = np.asarray(eps10)
+        for gate in ("i1", "n", "u", "m2"):
+            node = circuit.node(gate)
+            f = plan.index[node.fanins[0]]
+            want01, want10 = _unary_recurrence(
+                node.gate_type, weights.weights[gate],
+                sweep.p01[f], sweep.p10[f], e01, e10)
+            i = plan.index[gate]
+            assert np.array_equal(sweep.p01[i], want01), gate
+            assert np.array_equal(sweep.p10[i], want10), gate
+        scalar, _ = _pair(circuit, weights)
+        _assert_sweep_matches(scalar, sweep, EPS_POINTS, eps10)
+
+    def test_not_buf_swap_in_lifted_group_patches_like_fresh(self):
+        before = _unary_circuit(GateType.NOT)
+        after = _unary_circuit(GateType.BUF)
+        plan = CompiledSinglePass(
+            before, compute_weights(before, method="exhaustive"))
+        weights = compute_weights(after, method="exhaustive")
+        # m2 (lifted, level 3) and k take the column rewrite; n's level 2
+        # is re-lowered.
+        assert plan.patch_weights(after, weights, changed_gates=["k", "m2"],
+                                  retruthed_gates=["n"])
+        fresh = CompiledSinglePass(after, weights)
+        assert plan.num_groups == fresh.num_groups
+        for got, want in zip(_groups(plan), _groups(fresh)):
+            for attr in ("slots", "eps_rows", "fanin_slots", "bits",
+                         "flip_mask", "w_masked", "w_side", "divisor",
+                         "gather", "dest"):
+                assert np.array_equal(getattr(got, attr),
+                                      getattr(want, attr)), attr
+            assert got.truth == want.truth
+        patched_sweep = plan.run_sweep(EPS_POINTS)
+        fresh_sweep = fresh.run_sweep(EPS_POINTS)
+        assert np.array_equal(patched_sweep.p01, fresh_sweep.p01)
+        assert np.array_equal(patched_sweep.p10, fresh_sweep.p10)
+        assert np.array_equal(patched_sweep.per_output,
+                              fresh_sweep.per_output)
+
+
+def test_chunked_groups_match_unchunked(monkeypatch):
+    """A small ``_CHUNK_ELEMENTS`` splits every group into gate chunks;
+    the answer must not move by a bit — solo, batched, shared-mask and
+    mixed-mask groups alike."""
+    circuits = [get_benchmark("c17"), get_benchmark("b9"), _wide_circuit()]
+    plans = [CompiledSinglePass(c, compute_weights(c, method="sampled",
+                                                   n_patterns=1 << 8,
+                                                   seed=0))
+             for c in circuits]
+    forms = {g.flip_mask.ndim for p in plans for g in _groups(p)}
+    assert forms == {2, 3}
+    eps10 = [0.3, 0.1, 0.0, 0.02]
+    solo = [p.run_sweep(EPS_POINTS, eps10) for p in plans]
+    batch = TensorBatch(plans)
+    batched = batch.run_sweep([EPS_POINTS] * 3, [eps10] * 3)
+    # Three arity-2 gates per chunk (V = 4, E = 4); one wide gate.
+    monkeypatch.setattr(compiled_pass, "_CHUNK_ELEMENTS", 3 * 4 * 4 * 4)
+    assert max(len(g.slots) for g in _groups(plans[1])) > 3
+    for plan, want in zip(plans, solo):
+        got = plan.run_sweep(EPS_POINTS, eps10)
+        assert np.array_equal(got.p01, want.p01)
+        assert np.array_equal(got.p10, want.p10)
+    for got, want in zip(batch.run_sweep([EPS_POINTS] * 3, [eps10] * 3),
+                         batched):
+        assert np.array_equal(got.p01, want.p01)
+        assert np.array_equal(got.p10, want.p10)
+
+
+def test_sweep_result_shares_plan_index(full_adder_circuit):
+    """Results share the plan's names, index and signal probabilities
+    (no per-request copies); point views read the same as an unshared
+    result's."""
+    plan = CompiledSinglePass(
+        full_adder_circuit,
+        compute_weights(full_adder_circuit, method="exhaustive"))
+    sweep = plan.run_sweep([0.01, 0.2])
+    assert sweep.node_names is plan.node_names
+    assert sweep.node_index is plan.index
+    assert sweep.point(1).signal_prob is plan.signal_prob
+    unshared = SweepResult(
+        circuit_name=sweep.circuit_name, eps_specs=sweep.eps_specs,
+        eps10_specs=None, node_names=list(sweep.node_names),
+        outputs=list(sweep.outputs), per_output=sweep.per_output,
+        p01=sweep.p01, p10=sweep.p10,
+        signal_prob=dict(sweep.signal_prob),
+        correlation_pairs=sweep.correlation_pairs)
+    for j in range(2):
+        assert (sweep.point(j).to_dict(include_nodes=True)
+                == unshared.point(j).to_dict(include_nodes=True))
 
 
 # -- dtype threading (no silent float64 up-cast) --------------------------
